@@ -128,9 +128,9 @@ Study::ObserveSliceResult Study::run_observe_slice(
   std::optional<obs::MetricsLane> metrics_lane;
   if (ctx.metrics) metrics_lane.emplace(out.metrics);
   // Label slots are a pure function of construction seed + slot + suite, so
-  // the slice builds its own allocator — a dist worker has no access to the
-  // coordinator's replayed State::labels instance, and the local pool path
-  // produces identical labels through the same constructor arguments.
+  // the slice builds its own allocator — it needs no access to the replayed
+  // State::labels instance, and every slice, wherever it runs, produces
+  // identical labels through the same constructor arguments.
   const scan::LabelAllocator labels(util::Rng(config_.seed ^ 0x1ABE15),
                                     fleet_.responder().base);
   scan::ProberConfig prober_config;
@@ -145,35 +145,6 @@ Study::ObserveSliceResult Study::run_observe_slice(
                                           ctx.fault_round, out.deg));
   }
   out.advance = clock_lane.offset();
-  return out;
-}
-
-Study::ObserveSliceResult Study::run_observe_slice_scheduled(
-    std::span<const ObserveJob> jobs, const ObserveContext& ctx,
-    util::ThreadPool& pool) {
-  const std::size_t slices = pool.slice_count(jobs.size(), config_.sched);
-  if (slices <= 1) return run_observe_slice(jobs, ctx);
-  std::vector<ObserveSliceResult> parts(slices);
-  pool.parallel_for_slices(
-      jobs.size(), config_.sched,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        parts[slice] = run_observe_slice(jobs.subspan(begin, end - begin),
-                                         ctx);
-      });
-  // Fold in batch (job) order into one result indistinguishable from a
-  // serial run_observe_slice over the whole span; the shared clock stays
-  // untouched — the caller merges the summed advance.
-  ObserveSliceResult out;
-  out.results.reserve(jobs.size());
-  for (auto& part : parts) {
-    out.results.insert(out.results.end(), part.results.begin(),
-                       part.results.end());
-    out.log.splice(std::move(part.log));
-    out.advance += part.advance;
-    out.deg.merge(part.deg);
-    out.trace.splice(std::move(part.trace));
-    out.metrics.merge(part.metrics);
-  }
   return out;
 }
 
@@ -225,8 +196,8 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
 
 void Study::derive_from_initial(State& state) {
   StudyReport& report = state.report;
-  // In distributed mode every batch runs in worker processes; a live thread
-  // pool would only add fork-unsafe threads to the coordinator.
+  // With a DistHooks runner attached every batch runs on the runner's own
+  // executor, so a study-owned pool would only sit idle.
   if (config_.dist == nullptr) {
     state.pool = std::make_unique<util::ThreadPool>(config_.threads);
   }
@@ -619,9 +590,8 @@ snapshot::StudySnapshot Study::capture(const State& state) const {
   }
   // Hosts the continued run can still probe carry scanner-visible state of
   // their own (greylist first-contact map, flaky-path RNG cursor); capture
-  // it so restore() can put the rebuilt hosts mid-conversation. In
-  // distributed mode a host's probe residue lives in the worker process that
-  // owns its address range, so the coordinator gathers it over the wire.
+  // it so restore() can put the rebuilt hosts mid-conversation. With a
+  // DistHooks runner attached the runner gathers it.
   std::vector<util::IpAddress> residue_addresses;
   residue_addresses.reserve(state.vulnerable_addresses.size() +
                             state.remeasurable.size());

@@ -82,12 +82,12 @@ struct StudyConfig {
   // a resumed run's metric output is byte-identical. Not owned; null = off.
   obs::Registry* metrics = nullptr;
 
-  // Distributed execution hooks (DESIGN.md §15): when set, every parallel
-  // batch — the initial campaign's waves and each longitudinal observation
-  // batch — is handed to the coordinator instead of the thread pool, and
-  // host residue capture goes through it too. The serial control plane (loss
-  // RNG, breaker, patch events, roll-ups) always stays in this process. Not
-  // owned; null = single-process.
+  // External slice executor (DistHooks): when set, every parallel batch —
+  // the initial campaign's waves and each longitudinal observation batch —
+  // is handed to it instead of the study's thread pool, and host residue
+  // capture goes through it too. The serial control plane (loss RNG,
+  // breaker, patch events, roll-ups) always stays in the study. Not owned;
+  // null = the study's own pool.
   DistHooks* dist = nullptr;
 };
 
@@ -182,18 +182,9 @@ class Study {
   // Execute one contiguous observation slice — the exact work of one pool
   // shard. Self-contained (builds its own label allocator from the study
   // seed; indexed_mail_from is a pure function of construction seed + slot),
-  // so a dist worker can run it without the coordinator's State.
+  // so a DistHooks runner can execute it without the study's State.
   ObserveSliceResult run_observe_slice(std::span<const ObserveJob> jobs,
                                        const ObserveContext& ctx);
-
-  // Scheduler-driven variant (DESIGN.md §16): split the slice into batches
-  // on `pool` under config_.sched and merge the per-batch results — in batch
-  // (job) order — into ONE slice result identical to a serial
-  // run_observe_slice call. A dist worker routes its assigned slice through
-  // this, so in-worker execution also exercises the work-stealing scheduler.
-  ObserveSliceResult run_observe_slice_scheduled(
-      std::span<const ObserveJob> jobs, const ObserveContext& ctx,
-      util::ThreadPool& pool);
 
   // Everything the study loop carries between round boundaries. Built by
   // begin() or restore(); advanced by run_round(); consumed by finish().
@@ -302,12 +293,12 @@ class Study {
   std::vector<util::SimTime> round_times_;
 };
 
-// The seam the distributed coordinator implements (DESIGN.md §15). It is a
-// campaign ShardRunner plus the two study-specific operations: observation
-// batches and host-residue capture (checkpoints need residues that live in
-// worker processes). Implementations receive the same Study/Campaign object
-// that would have run the work locally and must return slices that merge to
-// the identical result.
+// The seam an external slice executor implements (StudyConfig::dist), e.g. a
+// benchmark's tracing runner. It is a campaign ShardRunner plus the two
+// study-specific operations: observation batches and host-residue capture.
+// Implementations receive the same Study/Campaign object that would have run
+// the work on the pool and must return slices that merge to the identical
+// result.
 class DistHooks : public scan::ShardRunner {
  public:
   // Execute a longitudinal observation batch; returned slices concatenate to

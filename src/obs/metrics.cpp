@@ -1,5 +1,6 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -56,7 +57,7 @@ std::int64_t Histogram::quantile(double q) const {
   for (int i = 0; i < kBucketCount; ++i) {
     seen += buckets_[static_cast<std::size_t>(i)];
     if (seen >= rank) {
-      return i == kBucketCount - 1 ? max_ : bucket_bound(i);
+      return i == kBucketCount - 1 ? max_ : std::min(bucket_bound(i), max_);
     }
   }
   return max_;

@@ -472,9 +472,9 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   report.degradation.configured_rate = plan_.config().rate;
 
   // The worker pool comes first: the concurrent dedupe below runs on it.
-  // Fork safety (DESIGN.md §15): when a ShardRunner is attached the
-  // coordinator forks workers, so no pool — and no threads at all — may
-  // exist in this process; every parallel phase then takes its serial path.
+  // When a ShardRunner is attached it owns the executor for the probe waves,
+  // so the campaign builds no pool of its own and every other parallel
+  // phase takes its serial path.
   std::optional<util::ThreadPool> owned_pool;
   util::ThreadPool* pool = config_.pool;
   if (config_.runner == nullptr && pool == nullptr) {
@@ -572,7 +572,7 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     // through a lock-free table of atomic counters (DESIGN.md §16) — the
     // group key IS the u64 table key, so no wide-key verify is needed, and
     // sums are order-free, so the steal schedule is invisible. The serial
-    // fallback (runner attached: no threads may exist pre-fork) computes the
+    // fallback (runner attached, so the campaign owns no pool) computes the
     // same tallies.
     std::unordered_map<std::uint64_t, std::pair<std::size_t, std::size_t>>
         group_stats;  // group -> {tested, transient}
@@ -748,71 +748,6 @@ CampaignReport Campaign::run(const TargetSource& targets) {
     report.domains.push_back(std::move(domain_outcome));
   });
   return report;
-}
-
-WaveSliceResult Campaign::run_wave_slice_scheduled(
-    std::span<const WaveItem> items, std::size_t base, const WaveContext& ctx,
-    util::ThreadPool& pool) {
-  const std::size_t slices = pool.slice_count(items.size(), config_.sched);
-  if (slices <= 1) return run_wave_slice(items, base, ctx);
-  std::vector<WaveSliceResult> parts(slices);
-  pool.parallel_for_slices(
-      items.size(), config_.sched,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        parts[slice] =
-            run_wave_slice(items.subspan(begin, end - begin), base + begin,
-                           ctx);
-      });
-  // Fold in batch (master) order into one result indistinguishable from a
-  // serial run_wave_slice over the whole span: outcomes concatenate, lane
-  // advances sum (the shared clock stays untouched — the caller merges it),
-  // logs/traces splice, counters merge.
-  WaveSliceResult out;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.outcomes.size();
-  out.outcomes.reserve(total);
-  for (auto& part : parts) {
-    for (auto& outcome : part.outcomes) {
-      out.outcomes.push_back(std::move(outcome));
-    }
-    out.log.splice(std::move(part.log));
-    out.advance += part.advance;
-    out.deg.merge(part.deg);
-    out.wave1.splice(std::move(part.wave1));
-    out.wave2.splice(std::move(part.wave2));
-    out.metrics.merge(part.metrics);
-  }
-  return out;
-}
-
-RequeueSliceResult Campaign::run_requeue_slice_scheduled(
-    std::span<const RequeueItem> items, const WaveContext& ctx,
-    util::ThreadPool& pool) {
-  const std::size_t slices = pool.slice_count(items.size(), config_.sched);
-  if (slices <= 1) return run_requeue_slice(items, ctx);
-  std::vector<RequeueSliceResult> parts(slices);
-  pool.parallel_for_slices(
-      items.size(), config_.sched,
-      [&](std::size_t slice, std::size_t begin, std::size_t end) {
-        parts[slice] = run_requeue_slice(items.subspan(begin, end - begin),
-                                         ctx);
-      });
-  RequeueSliceResult out;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.outcomes.size();
-  out.outcomes.reserve(total);
-  for (auto& part : parts) {
-    for (auto& outcome : part.outcomes) {
-      out.outcomes.push_back(std::move(outcome));
-    }
-    out.log.splice(std::move(part.log));
-    out.advance += part.advance;
-    out.deg.merge(part.deg);
-    out.recovered += part.recovered;
-    out.trace.splice(std::move(part.trace));
-    out.metrics.merge(part.metrics);
-  }
-  return out;
 }
 
 CampaignReport Campaign::run_addresses(

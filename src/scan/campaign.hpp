@@ -115,8 +115,8 @@ struct AddressOutcome {
 };
 
 // One unit of wave work: an address plus the recipient domain for RCPT TO.
-// The view aliases storage owned by the caller (the campaign's interner, or
-// a dist worker's decoded request) and must outlive the slice call.
+// The view aliases storage owned by the caller (the campaign's interner) and
+// must outlive the slice call.
 struct WaveItem {
   util::IpAddress address;
   std::string_view recipient;
@@ -201,9 +201,9 @@ struct CampaignConfig {
   // all its rounds); when null the campaign creates its own per run.
   util::ThreadPool* pool = nullptr;
 
-  // Optional slice executor (DESIGN.md §15): when set, the campaign hands
-  // each wave's slices to it instead of the thread pool — the distributed
-  // coordinator plugs in here. Not owned; null = run on threads.
+  // Optional slice executor (scan/shard_runner.hpp): when set, the campaign
+  // hands each wave's slices to it instead of the thread pool. Not owned;
+  // null = run on threads.
   ShardRunner* runner = nullptr;
 
   // --- fault injection & resilience (inert at the default rate 0) ---
@@ -275,28 +275,14 @@ class Campaign {
 
   // Execute one contiguous wave slice: items[k] is master-order position
   // base + k. This is the exact work a pool shard does; a ShardRunner calls
-  // it (possibly in another process) to satisfy run_wave. Reentrant across
-  // disjoint slices — all mutable state lives in the result or behind lanes.
+  // it to satisfy run_wave. Reentrant across disjoint slices — all mutable
+  // state lives in the result or behind lanes.
   WaveSliceResult run_wave_slice(std::span<const WaveItem> items,
                                  std::size_t base, const WaveContext& ctx);
 
   // Execute one re-queue slice over copies of the candidates' outcomes.
   RequeueSliceResult run_requeue_slice(std::span<const RequeueItem> items,
                                        const WaveContext& ctx);
-
-  // Scheduler-driven slice execution (DESIGN.md §16): split the slice into
-  // batches on `pool` under config_.sched and merge the per-batch results —
-  // in batch (master) order — back into ONE slice result, indistinguishable
-  // from a serial run_wave_slice call. This is how a distributed worker
-  // routes its whole assigned slice through the work-stealing scheduler
-  // while the coordinator keeps seeing one reply frame per slice.
-  WaveSliceResult run_wave_slice_scheduled(std::span<const WaveItem> items,
-                                           std::size_t base,
-                                           const WaveContext& ctx,
-                                           util::ThreadPool& pool);
-  RequeueSliceResult run_requeue_slice_scheduled(
-      std::span<const RequeueItem> items, const WaveContext& ctx,
-      util::ThreadPool& pool);
 
  private:
   // Adapter over the shared ProbeEngine: builds the ProbeRequest for one

@@ -1,14 +1,13 @@
-// Pluggable executor for a campaign's parallel probe waves (DESIGN.md §15).
+// Pluggable executor for a campaign's parallel probe waves.
 //
 // Campaign::run splits each wave into slices — contiguous, address-ordered
 // sub-ranges of the master work list — and by default executes them on a
-// thread pool. A ShardRunner replaces that execution step: the distributed
-// coordinator implements it by shipping slices to worker processes over
-// pipes. The contract is the same the pool satisfies: return one
-// WaveSliceResult / RequeueSliceResult per slice, covering the input items
-// exactly once, in master (address) order across the returned vector. The
-// campaign's merge is agnostic to where the slices ran, which is what makes
-// a 1-process run and an N-worker run byte-identical.
+// thread pool. A ShardRunner replaces that execution step (a benchmark's
+// tracing runner times each slice this way). The contract is the same the
+// pool satisfies: return one WaveSliceResult / RequeueSliceResult per slice,
+// covering the input items exactly once, in master (address) order across
+// the returned vector. The campaign's merge is agnostic to where the slices
+// ran, so any conforming runner yields a byte-identical report.
 #pragma once
 
 #include <span>

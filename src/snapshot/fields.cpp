@@ -62,6 +62,8 @@ util::IpAddress get_address(Reader& r) {
   return util::IpAddress::v6(bytes);
 }
 
+namespace {
+
 void put_probe_result(Writer& w, const scan::ProbeResult& result) {
   w.u8(encode_enum(result.kind));
   w.u8(encode_enum(result.status));
@@ -113,6 +115,8 @@ scan::AddressOutcome get_outcome(Reader& r) {
   outcome.saw_transient = r.boolean();
   return outcome;
 }
+
+}  // namespace
 
 void put_degradation(Writer& w, const faults::DegradationReport& deg) {
   w.f64(deg.configured_rate);

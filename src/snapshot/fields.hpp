@@ -1,13 +1,10 @@
-// Shared field codecs for the snapshot format and the distributed-scan wire
-// protocol (DESIGN.md §11, §15).
+// Field codecs for the snapshot format (DESIGN.md §11).
 //
-// These encode the scan-domain value types (addresses, probe results,
-// per-address outcomes, degradation counters, whole campaign reports, wire
-// frames, host residue) against snapshot::Writer/Reader. They were born as
-// file-local helpers of snapshot.cpp; the coordinator/worker pipe protocol
-// in src/dist/ speaks exactly the same field layout, so the codecs live here
-// once — a checkpoint and a worker reply agree byte-for-byte on every shared
-// structure, and the frozen-wire-byte tests in snapshot_test cover both.
+// These encode the scan-domain value types (addresses, degradation
+// counters, whole campaign reports, wire frames, host residue) against
+// snapshot::Writer/Reader; the per-address outcome and probe-result codecs
+// they build on stay file-local to fields.cpp. The frozen-wire-byte tests in
+// snapshot_test pin every layout.
 #pragma once
 
 #include <string_view>
@@ -26,17 +23,11 @@ class MailHost;
 namespace spfail::snapshot {
 
 // FNV-1a 64 over encoded payload bytes — the integrity check every container
-// (snapshot file, worker checkpoint, pipe frame) appends to its payload.
+// (study snapshot, service state file) appends to its payload.
 std::uint64_t payload_checksum(std::string_view bytes);
 
 void put_address(Writer& w, const util::IpAddress& address);
 util::IpAddress get_address(Reader& r);
-
-void put_probe_result(Writer& w, const scan::ProbeResult& result);
-scan::ProbeResult get_probe_result(Reader& r);
-
-void put_outcome(Writer& w, const scan::AddressOutcome& outcome);
-scan::AddressOutcome get_outcome(Reader& r);
 
 void put_degradation(Writer& w, const faults::DegradationReport& deg);
 faults::DegradationReport get_degradation(Reader& r);
@@ -55,8 +46,7 @@ StudySnapshot::HostState get_host_state(Reader& r);
 
 // Capture a host's residue in canonical wire form (greylist entries re-keyed
 // to textual addresses and re-sorted lexically — see the note in
-// Study::capture). Shared by the study's checkpoint writer and the dist
-// worker's per-chunk checkpoints.
+// Study::capture).
 StudySnapshot::HostState capture_host_state(const util::IpAddress& address,
                                             const mta::MailHost& host);
 

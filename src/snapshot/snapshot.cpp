@@ -1,8 +1,15 @@
 #include "snapshot/snapshot.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string_view>
+#include <system_error>
 
 #include "snapshot/enums.hpp"
 #include "snapshot/fields.hpp"
@@ -15,12 +22,14 @@ namespace {
 // the trace frames means a corrupt or foreign tail, not a missing feature.
 constexpr std::uint8_t kMetricsMarker = 0x4D;  // 'M'
 // Guards the optional fleet intern-table section. Ordering is fixed:
-// metrics (if any) first, then strings, then workers — each optional section
-// appends after every older one so absent-section snapshots keep their bytes.
+// metrics (if any) first, then strings — each optional section appends
+// after every older one so absent-section snapshots keep their bytes.
 constexpr std::uint8_t kStringsMarker = 0x49;  // 'I'
-// Guards the optional worker-shard section (DESIGN.md §15): the worker count
-// of the distributed run that wrote the snapshot.
-constexpr std::uint8_t kWorkersMarker = 0x57;  // 'W'
+
+// A SnapshotError naming the failed step and the current errno's text.
+SnapshotError errno_error(const std::string& what) {
+  return SnapshotError(what + ": " + std::generic_category().message(errno));
+}
 
 SnapshotKind decode_kind(std::uint8_t v) {
   switch (v) {
@@ -81,10 +90,6 @@ std::string StudySnapshot::encode() const {
   if (has_strings) {
     payload.u8(kStringsMarker);
     strings.encode(payload);
-  }
-  if (workers > 0) {
-    payload.u8(kWorkersMarker);
-    payload.u32(workers);
   }
 
   Writer out;
@@ -172,56 +177,68 @@ StudySnapshot StudySnapshot::decode(std::string_view bytes) {
   for (std::uint64_t i = 0; i < frames; ++i) {
     snap.trace.push_back(get_frame(payload));
   }
-  // Optional trailing sections, in fixed order: metrics, strings, workers.
-  // Each may be absent; anything else after the trace is a corrupt tail.
-  if (!payload.done()) {
-    std::uint8_t marker = payload.u8();
-    bool consumed_marker = false;
-    if (marker == kMetricsMarker) {
+  // Optional trailing sections, in fixed order: metrics, then strings.
+  // Each may be absent; anything else after the trace — a repeated or
+  // out-of-order section, or an unknown marker — is a corrupt tail.
+  while (!payload.done()) {
+    const std::uint8_t marker = payload.u8();
+    if (marker == kMetricsMarker && !snap.has_metrics && !snap.has_strings) {
       snap.has_metrics = true;
       snap.metrics = obs::Registry::decode(payload);
       const std::uint64_t lines = payload.u64();
       for (std::uint64_t i = 0; i < lines; ++i) {
         snap.metric_lines.push_back(payload.str());
       }
-      if (payload.done()) return snap;
-      marker = payload.u8();
-    }
-    if (marker == kStringsMarker) {
+    } else if (marker == kStringsMarker && !snap.has_strings) {
       snap.has_strings = true;
       snap.strings = util::Interner::decode(payload);
-      if (payload.done()) return snap;
-      marker = payload.u8();
-    }
-    if (marker == kWorkersMarker) {
-      snap.workers = payload.u32();
-      consumed_marker = true;
-    }
-    if (!consumed_marker) {
+    } else {
       throw SnapshotError("trailing bytes are not an optional section");
     }
   }
-  payload.expect_done();
   return snap;
 }
 
 void save_atomically(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      throw SnapshotError("cannot open '" + tmp + "' for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      throw SnapshotError("short write to '" + tmp + "'");
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) throw errno_error("cannot open '" + tmp + "' for writing");
+  std::optional<SnapshotError> error;
+  for (std::size_t written = 0; !error && written < bytes.size();) {
+    const ::ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n >= 0) {
+      written += static_cast<std::size_t>(n);
+    } else if (errno != EINTR) {
+      error = errno_error("write to '" + tmp + "' failed");
     }
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SnapshotError("cannot rename '" + tmp + "' over '" + path + "'");
+  // Durable, not just atomic: the bytes reach the disk before the rename
+  // publishes them, and the new directory entry reaches it after.
+  if (!error && ::fsync(fd) != 0) {
+    error = errno_error("fsync of '" + tmp + "' failed");
   }
+  if (::close(fd) != 0 && !error) {
+    error = errno_error("close of '" + tmp + "' failed");
+  }
+  if (!error && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    error = errno_error("cannot rename '" + tmp + "' over '" + path + "'");
+  }
+  if (error) {
+    ::unlink(tmp.c_str());  // a partial temp file is never a checkpoint
+    throw *error;
+  }
+
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd < 0) throw errno_error("cannot open directory '" + dir + "'");
+  if (::fsync(dir_fd) != 0) {
+    error = errno_error("fsync of directory '" + dir + "' failed");
+  }
+  ::close(dir_fd);
+  if (error) throw *error;
 }
 
 bool discard_partial(const std::string& path) {

@@ -130,21 +130,15 @@ struct StudySnapshot {
   bool has_strings = false;
   util::Interner strings;
 
-  // Worker-process count of the writing run (DESIGN.md §15). 0 means "single
-  // process" (also every pre-dist snapshot); a --workers N run stamps N so
-  // resume can refuse a worker-shard layout mismatch — per-worker recovery
-  // checkpoints are keyed to the shard layout that wrote them. Encoded as a
-  // third optional marker section after metrics and strings, so snapshots
-  // from single-process runs keep their exact historical bytes.
-  std::uint32_t workers = 0;
-
   std::string encode() const;
   static StudySnapshot decode(std::string_view bytes);
 };
 
-// Atomic write: the bytes go to `path` + ".tmp" and are renamed over `path`,
-// so a crash mid-checkpoint leaves the previous snapshot intact. Throws
-// SnapshotError on I/O failure.
+// Atomic, durable write: the bytes go to `path` + ".tmp", which is fsynced
+// and renamed over `path`, and then the parent directory is fsynced. A crash
+// mid-checkpoint leaves the previous snapshot intact, and a completed save
+// survives an OS crash. Throws SnapshotError (with the errno text) on any
+// I/O failure, leaving no temp file behind.
 void save_atomically(const std::string& path, std::string_view bytes);
 
 // Remove the `path` + ".tmp" a writer killed mid-checkpoint left behind (the

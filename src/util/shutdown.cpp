@@ -16,7 +16,7 @@ void install_shutdown_handlers() {
   struct sigaction sa = {};
   sa.sa_handler = shutdown_handler;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: blocked reads must wake with EINTR
+  sa.sa_flags = 0;  // no SA_RESTART: blocking calls must wake with EINTR
   sigaction(SIGINT, &sa, nullptr);
   sigaction(SIGTERM, &sa, nullptr);
 }

@@ -75,6 +75,14 @@ TEST(ObsHistogram, QuantilesAreDeterministicBucketBounds) {
   EXPECT_EQ(h.quantile(0.95), 4);
   EXPECT_EQ(h.quantile(0.0), 1);  // rank clamps to 1
   EXPECT_EQ(h.quantile(1.0), 4);
+
+  // A lone 10 lands in bucket 5 (bound 16), but no quantile may exceed the
+  // exact max: the BENCH_svc.json admission-wait shape.
+  Histogram single;
+  single.observe(10);
+  EXPECT_EQ(single.quantile(0.5), 10);
+  EXPECT_EQ(single.quantile(0.95), 10);
+  EXPECT_EQ(single.max(), 10);
 }
 
 TEST(ObsHistogram, OverflowBucketQuantileReportsObservedMax) {
@@ -308,7 +316,7 @@ TEST(ObsExport, RoundSnapshotJsonHasFixedShape) {
             "\"counters\":{\"hits{k=\\\"v\\\"}\":2},"
             "\"gauges\":{\"depth\":5},"
             "\"histograms\":{\"lat\":{\"count\":1,\"sum\":3,\"max\":3,"
-            "\"p50\":4,\"p95\":4}}}");
+            "\"p50\":3,\"p95\":3}}}");
   // No round key for phases outside the longitudinal loop.
   EXPECT_EQ(obs::round_snapshot_json(registry, "initial").find("\"round\""),
             std::string::npos);

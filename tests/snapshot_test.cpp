@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "snapshot/fields.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace spfail::snapshot {
@@ -289,6 +290,28 @@ TEST(Snapshot, RejectsCorruptPayload) {
   EXPECT_THROW(StudySnapshot::decode(bytes), SnapshotError);
 }
 
+// Re-seal `bytes` with `tail` appended to its payload: the magic, version
+// and meta are copied verbatim and the length prefix and checksum are
+// recomputed, so only the payload decoder can object to the addition.
+std::string with_payload_tail(const std::string& bytes, std::string_view tail) {
+  Reader r(bytes);
+  for (std::size_t i = 0; i < sizeof(kMagic); ++i) r.u8();
+  r.u32();      // version
+  r.u8();       // kind
+  r.u64();      // fleet seed
+  r.f64();      // scale
+  r.u64();      // study seed
+  r.u64();      // fault seed
+  r.f64();      // fault rate
+  r.boolean();  // tracing
+  const std::size_t header = bytes.size() - r.remaining();
+  const std::string payload = r.str() + std::string(tail);
+  Writer sealed;
+  sealed.str(payload);
+  sealed.u64(payload_checksum(payload));
+  return bytes.substr(0, header) + sealed.bytes();
+}
+
 TEST(Snapshot, RejectsTruncationAndTrailingBytes) {
   const std::string bytes = sample_snapshot().encode();
   EXPECT_THROW(
@@ -296,6 +319,30 @@ TEST(Snapshot, RejectsTruncationAndTrailingBytes) {
       SnapshotError);
   EXPECT_THROW(StudySnapshot::decode(bytes + "x"), SnapshotError);
   EXPECT_THROW(StudySnapshot::decode(""), SnapshotError);
+
+  // Re-sealing with nothing appended is lossless, so the rejection below is
+  // the payload decoder's, not the checksum's.
+  EXPECT_EQ(StudySnapshot::decode(with_payload_tail(bytes, {})).encode(),
+            bytes);
+  // A section marker this build does not write (0x57, the retired
+  // worker-count section, here carrying a u32 of 3) is a corrupt tail under
+  // a valid checksum, whether or not the optional sections precede it.
+  StudySnapshot with_sections = sample_snapshot();
+  with_sections.has_metrics = true;
+  with_sections.metrics.counter("probe_attempts_total") += 1;
+  with_sections.has_strings = true;
+  with_sections.strings.intern("example.org");
+  const std::string workers_section("\x57\x03\x00\x00\x00", 5);
+  for (const std::string& base : {bytes, with_sections.encode()}) {
+    try {
+      StudySnapshot::decode(with_payload_tail(base, workers_section));
+      FAIL() << "a 0x57 section must not decode";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("not an optional section"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Snapshot, SaveAtomicallyAndLoadFileRoundTrip) {
@@ -314,6 +361,20 @@ TEST(Snapshot, SaveAtomicallyAndLoadFileRoundTrip) {
   std::ifstream tmp(path + ".tmp");
   EXPECT_FALSE(tmp.good());
   std::remove(path.c_str());
+
+  // A save into a missing directory fails with the errno text, and leaves
+  // no temp file either.
+  const std::string orphan =
+      testing::TempDir() + "spfail_no_such_dir/snapshot.bin";
+  try {
+    save_atomically(orphan, bytes);
+    FAIL() << "a save into a missing directory must throw";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("No such file or directory"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(orphan + ".tmp").good());
 }
 
 TEST(Snapshot, LoadFileReportsMissingFile) {

@@ -135,6 +135,11 @@ struct PaperExampleCase {
   const char* expected;
 };
 
+// Print a case by its macro text, which is unique within the suite: gtest's
+// default would print the two pointers, and test runners that name cases
+// after the printed value would then see new names in every process.
+void PrintTo(const PaperExampleCase& c, std::ostream* os) { *os << c.macro; }
+
 class PaperExamples : public ::testing::TestWithParam<PaperExampleCase> {};
 
 TEST_P(PaperExamples, ExpandsAsInSection22) {
