@@ -60,12 +60,11 @@ int main() {
         prober.probe(host, "target.example", mail_from, scan::TestKind::NoMsg);
 
     std::cout << "  Queries observed at the authoritative server:\n";
-    const auto entries = server.query_log().entries();
-    for (std::size_t i = log_before; i < entries.size(); ++i) {
-      const auto& entry = entries[i];
-      std::cout << "    " << to_string(entry.qtype) << "  "
-                << entry.qname.to_string() << "\n";
-    }
+    server.query_log().for_each_under_from(
+        log_before, dns::Name::root(), [](const dns::QueryLogEntry& entry) {
+          std::cout << "    " << to_string(entry.qtype) << "  "
+                    << entry.qname.to_string() << "\n";
+        });
     std::cout << "  Verdict: " << to_string(result.status);
     for (const auto behavior : result.behaviors) {
       std::cout << " [" << to_string(behavior) << "]";

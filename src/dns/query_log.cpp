@@ -9,30 +9,4 @@ std::vector<QueryLogEntry> QueryLog::entries() const {
   return out;
 }
 
-std::vector<QueryLogEntry> QueryLog::under(const Name& suffix) const {
-  std::vector<QueryLogEntry> out;
-  for_each_under(suffix, [&out](QueryLogEntry e) { out.push_back(std::move(e)); });
-  return out;
-}
-
-void QueryLog::splice(QueryLog&& other) {
-  const std::vector<util::Symbol> remap = names_.merge(other.names_);
-  entries_.reserve(entries_.size() + other.entries_.size());
-  for (const Compact& e : other.entries_) {
-    entries_.push_back(Compact{e.time, e.client, remap[e.qname], e.qtype});
-  }
-  other.entries_.clear();
-  other.names_ = util::Interner();
-}
-
-std::vector<QueryLogEntry> QueryLog::matching(
-    const std::function<bool(const QueryLogEntry&)>& pred) const {
-  std::vector<QueryLogEntry> out;
-  for (const Compact& e : entries_) {
-    QueryLogEntry full = materialise(e);
-    if (pred(full)) out.push_back(std::move(full));
-  }
-  return out;
-}
-
 }  // namespace spfail::dns

@@ -2,8 +2,9 @@
 // authoritative server, annotated with arrival time and querying endpoint.
 //
 // The SPFail detection technique classifies an MTA purely from the names it
-// queries under the test domain, so everything downstream (scan::Classifier,
-// the behaviour census in Table 7) reads this log.
+// queries under the test domain, so scan::Prober reads this log — but only
+// its own window: the entries after a cursor taken before the probe, under
+// the probe's unique MAIL FROM domain.
 //
 // Storage is compact (DESIGN.md §14): qnames repeat heavily — every retry,
 // every ladder rung, every suite re-fetch asks for the same handful of names
@@ -12,10 +13,14 @@
 // when a consumer actually looks at them; the per-test verdict loop in
 // scan::Prober filters by interned text first and materialises only the few
 // entries under its unique label.
+//
+// A log can also count queries it does not hold. Sharded scans record into
+// per-slice lane logs, read each probe's window there, and drop the lane when
+// the slice returns; the authoritative log keeps only the lane's query count
+// (count_dropped). size() is the total either way, so a cursor read from it
+// stays valid on a server that has already run a sharded campaign.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,32 +48,28 @@ class QueryLog {
                                entry.qtype});
   }
 
-  // Materialises every entry. Callers that index repeatedly should take the
-  // vector once; the reference-returning accessor is gone on purpose.
+  // Materialises every held entry (dropped queries have no entry). Callers
+  // that index repeatedly should take the vector once; the reference-returning
+  // accessor is gone on purpose.
   std::vector<QueryLogEntry> entries() const;
 
-  std::size_t size() const noexcept { return entries_.size(); }
-  void clear() {
-    entries_.clear();
-    names_ = util::Interner();
-  }
+  // Every query this log has seen: the held entries plus those counted by
+  // count_dropped().
+  std::size_t size() const noexcept { return dropped_ + entries_.size(); }
+
+  // Account for `queries` recorded in a lane log that was then dropped. They
+  // precede every entry recorded afterwards in the size() numbering.
+  void count_dropped(std::size_t queries) noexcept { dropped_ += queries; }
 
   // The qname intern table; its hit count is the number of deduplicated
   // qname copies this log avoided storing.
   const util::Interner& names() const noexcept { return names_; }
 
-  // All entries whose qname falls under `suffix` (the scan module filters by
-  // its per-test unique label this way).
-  std::vector<QueryLogEntry> under(const Name& suffix) const;
-
-  // Entries matching an arbitrary predicate.
-  std::vector<QueryLogEntry> matching(
-      const std::function<bool(const QueryLogEntry&)>& pred) const;
-
-  // Non-allocating visitor over entries under `suffix`, optionally starting
-  // at `first` (a cursor previously read from size()). Matching is a text
-  // suffix check on the interned canonical form — equivalent to
-  // Name::is_subdomain_of, but only matching entries pay for Name parsing.
+  // Non-allocating visitor over held entries under `suffix`, optionally
+  // starting at `first` (a cursor previously read from size(), so held entry
+  // i sits at position dropped + i). Matching is a text suffix check on the
+  // interned canonical form — equivalent to Name::is_subdomain_of, but only
+  // matching entries pay for Name parsing.
   template <typename Fn>
   void for_each_under(const Name& suffix, Fn&& fn) const {
     for_each_under_from(0, suffix, std::forward<Fn>(fn));
@@ -78,17 +79,13 @@ class QueryLog {
   void for_each_under_from(std::size_t first, const Name& suffix,
                            Fn&& fn) const {
     const std::string suffix_text = suffix.to_string();
-    for (std::size_t i = first; i < entries_.size(); ++i) {
+    for (std::size_t i = first > dropped_ ? first - dropped_ : 0;
+         i < entries_.size(); ++i) {
       if (text_under(names_.view(entries_[i].qname), suffix_text)) {
         fn(materialise(entries_[i]));
       }
     }
   }
-
-  // Move every entry of `other` to the end of this log (the sharded scan
-  // drains worker-lane logs back into the authoritative one in shard-index
-  // order; the intern merge follows the same discipline).
-  void splice(QueryLog&& other);
 
  private:
   struct Compact {
@@ -112,6 +109,7 @@ class QueryLog {
                          e.qtype};
   }
 
+  std::size_t dropped_ = 0;  // counted, never held; numbered before entries_
   std::vector<Compact> entries_;
   util::Interner names_;
 };

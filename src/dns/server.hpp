@@ -4,8 +4,9 @@
 // synthesise records on the fly. The SPFail measurement apparatus registers a
 // responder for spf-test.dns-lab.org that echoes the per-target <id>/<suite>
 // labels back inside a templated SPF policy (see scan/test_responder.hpp).
-// Every received query is appended to the QueryLog, which is the measurement
-// instrument for the whole study.
+// Every received query is recorded to a QueryLog, the measurement
+// instrument for the whole study: the server's own log, or the calling
+// thread's lane log while a LogLane is active.
 #pragma once
 
 #include <functional>
@@ -48,16 +49,12 @@ class AuthoritativeServer : public DnsService {
 
   // The log queries are recorded to *on the calling thread*: the
   // authoritative log normally, or the thread's LogLane while one is active.
-  // Sharded scan workers each route their probes' queries into a private
-  // lane log and splice it into the authoritative log at merge time, so
-  // recording never contends across threads.
+  // Sharded scan slices each route their probes' queries into a private lane
+  // log, so recording never contends across threads; each probe reads its
+  // window there, and the merge adds only the lane's query count to the
+  // authoritative log (QueryLog::count_dropped) before the lane is dropped.
   QueryLog& query_log() noexcept { return active_log(); }
   const QueryLog& query_log() const noexcept { return active_log(); }
-
-  // The authoritative log regardless of any lane on this thread (merge and
-  // post-run forensics use this).
-  QueryLog& authoritative_log() noexcept { return log_; }
-  const QueryLog& authoritative_log() const noexcept { return log_; }
 
   // RAII redirect of this thread's query recording to `lane`. At most one
   // per thread; queries to *other* servers are unaffected.

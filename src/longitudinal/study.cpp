@@ -124,7 +124,8 @@ Study::ObserveSliceResult Study::run_observe_slice(
   ObserveSliceResult out;
   out.results.reserve(jobs.size());
   util::SimClock::Lane clock_lane(fleet_.clock());
-  dns::AuthoritativeServer::LogLane log_lane(fleet_.dns(), out.log);
+  dns::QueryLog log;
+  dns::AuthoritativeServer::LogLane log_lane(fleet_.dns(), log);
   std::optional<obs::MetricsLane> metrics_lane;
   if (ctx.metrics) metrics_lane.emplace(out.metrics);
   // Label slots are a pure function of construction seed + slot + suite, so
@@ -145,6 +146,7 @@ Study::ObserveSliceResult Study::run_observe_slice(
                                           ctx.fault_round, out.deg));
   }
   out.advance = clock_lane.offset();
+  out.queries = log.size();
   return out;
 }
 
@@ -153,8 +155,8 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
                       const std::string& suite, std::uint64_t fault_round) {
   // Each slice runs a private clock lane and a private query-log lane, plus
   // one prober reused across its jobs; the merge folds clock offsets (their
-  // sum is exactly the serial advance) and splices lane logs back in slice —
-  // i.e. address — order.
+  // sum is exactly the serial advance), counts the lanes' queries into the
+  // authoritative log, and places results in slice — i.e. address — order.
   results.assign(jobs.size(), Observation::Inconclusive);
   if (jobs.empty()) return;
 
@@ -183,7 +185,7 @@ void Study::run_batch(State& state, const std::vector<ObserveJob>& jobs,
   std::size_t offset = 0;
   for (auto& slice : slices) {
     total_advance += slice.advance;
-    fleet_.dns().query_log().splice(std::move(slice.log));
+    fleet_.dns().query_log().count_dropped(slice.queries);
     state.report.degradation.merge(slice.deg);
     if (config_.trace != nullptr) config_.trace->splice(std::move(slice.trace));
     if (config_.metrics != nullptr) config_.metrics->merge(slice.metrics);

@@ -169,10 +169,11 @@ class Study {
   };
 
   // Everything one observation slice produces; merged like a campaign wave
-  // slice (advances sum, logs splice in order, traces splice by lane).
+  // slice (advances sum, query counts add to the authoritative log, traces
+  // splice by lane). The slice's lane query log is dropped on return.
   struct ObserveSliceResult {
     std::vector<Observation> results;  // in job order for the slice
-    dns::QueryLog log;
+    std::size_t queries = 0;  // queries recorded in the slice's lane log
     util::SimTime advance = 0;
     faults::DegradationReport deg;
     net::WireTrace trace;

@@ -286,7 +286,8 @@ WaveSliceResult Campaign::run_wave_slice(std::span<const WaveItem> items,
   WaveSliceResult out;
   out.outcomes.reserve(items.size());
   util::SimClock::Lane clock_lane(clock_);
-  dns::AuthoritativeServer::LogLane log_lane(server_, out.log);
+  dns::QueryLog log;
+  dns::AuthoritativeServer::LogLane log_lane(server_, log);
   std::optional<obs::MetricsLane> metrics_lane;
   if (ctx.metrics) metrics_lane.emplace(out.metrics);
   net::Transport transport(clock_);
@@ -376,6 +377,7 @@ WaveSliceResult Campaign::run_wave_slice(std::span<const WaveItem> items,
     }
   }
   out.advance = clock_lane.offset();
+  out.queries = log.size();
   return out;
 }
 
@@ -384,7 +386,8 @@ RequeueSliceResult Campaign::run_requeue_slice(
   RequeueSliceResult out;
   out.outcomes.reserve(items.size());
   util::SimClock::Lane clock_lane(clock_);
-  dns::AuthoritativeServer::LogLane log_lane(server_, out.log);
+  dns::QueryLog log;
+  dns::AuthoritativeServer::LogLane log_lane(server_, log);
   std::optional<obs::MetricsLane> metrics_lane;
   if (ctx.metrics) metrics_lane.emplace(out.metrics);
   net::Transport transport(clock_);
@@ -462,6 +465,7 @@ RequeueSliceResult Campaign::run_requeue_slice(
     out.outcomes.push_back(std::move(outcome));
   }
   out.advance = clock_lane.offset();
+  out.queries = log.size();
   return out;
 }
 
@@ -537,13 +541,13 @@ CampaignReport Campaign::run(const TargetSource& targets) {
   }
 
   // Merge: fold lane clocks back into the shared one (the sum reproduces the
-  // serial advance), drain lane query logs in slice — i.e. address — order,
-  // and reassemble the report.
+  // serial advance), count the lanes' queries into the authoritative log,
+  // and reassemble the report in slice — i.e. address — order.
   util::SimTime total_advance = 0;
   report.addresses.reserve(items.size());
   for (auto& slice : slices) {
     total_advance += slice.advance;
-    server_.query_log().splice(std::move(slice.log));
+    server_.query_log().count_dropped(slice.queries);
     report.degradation.merge(slice.deg);
     if (config_.metrics != nullptr) config_.metrics->merge(slice.metrics);
     for (auto& outcome : slice.outcomes) {
@@ -674,7 +678,7 @@ CampaignReport Campaign::run(const TargetSource& targets) {
       util::SimTime rq_advance = 0;
       for (auto& slice : rq_slices) {
         rq_advance += slice.advance;
-        server_.query_log().splice(std::move(slice.log));
+        server_.query_log().count_dropped(slice.queries);
         report.degradation.merge(slice.deg);
         report.degradation.requeue_recovered += slice.recovered;
         if (ctx.tracing) config_.trace->splice(std::move(slice.trace));

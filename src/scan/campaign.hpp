@@ -134,11 +134,13 @@ struct WaveContext {
 };
 
 // Everything one wave slice produces. Merging slices in master (address)
-// order reproduces the serial run byte-for-byte: advances sum, query logs
-// splice in order, degradation counters merge, traces splice wave-major.
+// order reproduces the serial run byte-for-byte: advances sum, query counts
+// add to the authoritative log, degradation counters merge, traces splice
+// wave-major. The slice's lane query log is dropped when the slice returns;
+// only its count survives.
 struct WaveSliceResult {
   std::vector<AddressOutcome> outcomes;  // in item order for the slice
-  dns::QueryLog log;
+  std::size_t queries = 0;  // queries recorded in the slice's lane log
   util::SimTime advance = 0;
   faults::DegradationReport deg;
   // Per-wave wire captures: frames for this slice's tests, each recorded
@@ -162,7 +164,7 @@ struct RequeueItem {
 
 struct RequeueSliceResult {
   std::vector<AddressOutcome> outcomes;  // mutated copies, in item order
-  dns::QueryLog log;
+  std::size_t queries = 0;  // queries recorded in the slice's lane log
   util::SimTime advance = 0;
   faults::DegradationReport deg;
   std::size_t recovered = 0;

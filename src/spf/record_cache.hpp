@@ -5,8 +5,9 @@
 // include chains) was re-parsed and re-stored once per host. The shared cache
 // parses each distinct text exactly once per fleet and hands every evaluator
 // on every worker thread the same immutable Entry — a ConcurrentTable keyed
-// by fnv1a of the record text, with the full-text verify + salted re-probe
-// pattern from util::SyncInterner, since texts are wider than 64-bit keys.
+// by fnv1a of the record text. Texts are wider than 64-bit keys, so a hit
+// verifies the full text and a 64-bit collision re-probes under a salted key
+// (the wide-key rule util::ConcurrentTable states).
 //
 // Determinism: parsing is a pure function of the text, and entries are
 // immutable after publication, so which thread inserts first is invisible to

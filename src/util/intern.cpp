@@ -77,15 +77,6 @@ Symbol Interner::find(std::string_view text) const {
   return lookup(text, fnv1a(text));
 }
 
-std::vector<Symbol> Interner::merge(const Interner& other) {
-  std::vector<Symbol> remap;
-  remap.reserve(other.size());
-  for (Symbol id = 0; id < other.size(); ++id) {
-    remap.push_back(intern(other.view(id)));
-  }
-  return remap;
-}
-
 void Interner::encode(snapshot::Writer& w) const {
   snapshot::Writer body;
   body.u32(static_cast<std::uint32_t>(entries_.size()));
@@ -117,29 +108,6 @@ Interner Interner::decode(snapshot::Reader& r) {
     throw snapshot::SnapshotError("intern table carries duplicate strings");
   }
   return interner;
-}
-
-Symbol SyncInterner::intern(std::string_view text) {
-  const std::uint64_t hash = fnv1a(text);
-  for (int salt = 0; salt <= kMaxSalt; ++salt) {
-    const std::uint64_t key =
-        hash + static_cast<std::uint64_t>(salt) * kSaltStep;
-    const auto found = table_.find_or_insert(key, [&](Slot& slot) {
-      // Pre-publication window: allocate the symbol, publish its string,
-      // and record the symbol in the slot. All of it becomes visible to
-      // losers via the table's release-store of Ready.
-      const std::uint32_t id =
-          next_symbol_.fetch_add(1, std::memory_order_acq_rel);
-      strings_[id].store(new std::string(text), std::memory_order_release);
-      slot.symbol = id;
-    });
-    const std::uint32_t id = found.payload->symbol;
-    if (found.inserted || view(id) == text) return id;
-    // A different string owns this key — a true 64-bit fnv1a collision.
-    // Re-probe under the next salted key.
-  }
-  throw TableFullError("intern salt chain exhausted for '" +
-                       std::string(text) + "'");
 }
 
 bool operator==(const Interner& a, const Interner& b) {

@@ -13,7 +13,7 @@
 // Determinism: a batch is an index-addressed unit — batch b always covers
 // the same [begin, end) of the master list and records its results into slot
 // b, no matter which worker ran it. The merge walks slots in batch order,
-// exactly the shard-index-order trick from src/obs/ and Interner::merge, so
+// exactly the shard-index-order trick of the src/obs/ registry merge, so
 // stdout/CSV/trace/metrics are byte-identical under any steal schedule
 // (WorkStealDeterminism tests force the worst one). Stealing changes only
 // *which thread* runs a batch; batches partition the address space, so host

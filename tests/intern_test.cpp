@@ -1,14 +1,11 @@
-// The §14 interning layer: Symbol assignment determinism, shard-order merge,
-// wire round-trips, the QueryLog qname dedupe built on it, the lazy/streaming
-// fleet's equivalence to the eager one, and the optional snapshot strings
-// section.
+// The §14 interning layer: Symbol assignment determinism, wire round-trips,
+// the QueryLog qname dedupe built on it, the lazy/streaming fleet's
+// equivalence to the eager one, and the optional snapshot strings section.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "dns/query_log.hpp"
@@ -74,40 +71,6 @@ TEST(Intern, ViewsStayValidAcrossArenaGrowth) {
   }
 }
 
-TEST(InternMerge, RemapTranslatesShardIds) {
-  util::Interner master, shard;
-  master.intern("shared");
-  shard.intern("private");  // shard id 0
-  shard.intern("shared");   // shard id 1
-  const std::vector<util::Symbol> remap = master.merge(shard);
-  ASSERT_EQ(remap.size(), 2u);
-  EXPECT_EQ(master.view(remap[0]), "private");
-  EXPECT_EQ(master.view(remap[1]), "shared");
-  EXPECT_EQ(remap[1], 0u);  // folded onto the pre-existing entry
-}
-
-TEST(InternMerge, ContiguousShardFoldMatchesSerialOrder) {
-  // The campaign discipline: shards own contiguous slices of a deterministic
-  // stream and are folded in shard-index order. The folded table must equal
-  // serial interning regardless of how many shards the stream was cut into.
-  std::vector<std::string> stream;
-  for (int i = 0; i < 200; ++i) stream.push_back("s" + std::to_string(i % 37));
-
-  util::Interner serial;
-  for (const auto& s : stream) serial.intern(s);
-
-  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    std::vector<util::Interner> lanes(shards);
-    const std::size_t per = (stream.size() + shards - 1) / shards;
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      lanes[i / per].intern(stream[i]);
-    }
-    util::Interner folded;
-    for (auto& lane : lanes) folded.merge(lane);
-    EXPECT_TRUE(folded == serial) << shards << " shards";
-  }
-}
-
 TEST(InternCodec, RoundTripPreservesOrderAndStrings) {
   util::Interner interner;
   interner.intern("a");
@@ -151,24 +114,6 @@ TEST(InternCodec, RejectsDuplicateStrings) {
   for (const char c : body.bytes()) w.u8(static_cast<std::uint8_t>(c));
   snapshot::Reader r(w.bytes());
   EXPECT_THROW(util::Interner::decode(r), snapshot::SnapshotError);
-}
-
-TEST(InternSync, ConcurrentInternsConverge) {
-  util::SyncInterner interner;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&interner] {
-      for (int i = 0; i < 200; ++i) {
-        interner.intern("shared-" + std::to_string(i % 50));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(interner.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    const std::string text = "shared-" + std::to_string(i);
-    EXPECT_EQ(interner.view(interner.intern(text)), text);
-  }
 }
 
 // ------------------------------------------------------------------ QueryLog
@@ -222,19 +167,28 @@ TEST(QueryLogDedupe, ForEachUnderBoundaries) {
   EXPECT_EQ(from_cursor, 0u);  // both matches precede the cursor
 }
 
-TEST(QueryLogDedupe, SpliceRemapsSymbols) {
-  dns::QueryLog a, b;
-  a.record(entry_for("one.example", 1));
-  a.record(entry_for("two.example", 2));
-  b.record(entry_for("two.example", 3));  // same text, different shard id
-  b.record(entry_for("three.example", 4));
-  a.splice(std::move(b));
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a.names().size(), 3u);  // union of distinct qnames
-  const auto entries = a.entries();
-  EXPECT_EQ(entries[2].qname.to_string(), "two.example");
-  EXPECT_EQ(entries[3].qname.to_string(), "three.example");
-  EXPECT_EQ(entries[2].time, 3);
+TEST(QueryLogDedupe, DroppedQueriesCountButKeepNoEntries) {
+  // A sharded scan drops its lane logs and counts them into the
+  // authoritative log; size() numbers dropped queries before held ones, so a
+  // cursor read from it indexes only what was recorded afterwards.
+  dns::QueryLog log;
+  log.count_dropped(3);
+  log.record(entry_for("one.example", 1));
+  log.record(entry_for("two.example", 2));
+  EXPECT_EQ(log.size(), 5u);
+  EXPECT_EQ(log.entries().size(), 2u);
+
+  std::vector<util::SimTime> from_cursor;
+  log.for_each_under_from(3, dns::Name::root(),
+                          [&](const dns::QueryLogEntry& e) {
+                            from_cursor.push_back(e.time);
+                          });
+  EXPECT_EQ(from_cursor, (std::vector<util::SimTime>{1, 2}));
+
+  std::size_t past_end = 0;
+  log.for_each_under_from(5, dns::Name::root(),
+                          [&](const dns::QueryLogEntry&) { ++past_end; });
+  EXPECT_EQ(past_end, 0u);
 }
 
 // ------------------------------------------------- lazy fleet ≡ eager fleet
